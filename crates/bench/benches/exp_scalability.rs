@@ -1,7 +1,6 @@
 //! E7 — scalability (Section 1's "scalable manner"): pairwise detection
 //! wall-time vs number of sources, with and without shared-object pruning,
-//! sequential vs parallel, and **before vs after** the columnar data-plane
-//! refactor.
+//! and **before vs after** the columnar data-plane refactor.
 //!
 //! "Before" is a faithful re-implementation of the pre-CSR hot loop: one
 //! `HashMap<ObjectId, ValueId>` per source probed per overlap candidate,
@@ -32,7 +31,7 @@
 //!
 //! Schema 4 adds `async_write_behind`: the per-analysis latency of the
 //! engine with no persistence, with the synchronous write-behind store,
-//! and with the **async writer thread** (`persist_async`) — the async
+//! and with the **async writer thread** (`StoreOptions::async_writer`) — the async
 //! path must keep the analysis thread syscall-free (asserted via the
 //! store's writer-thread record) and, on non-smoke runs, land within 5%
 //! of the persist-off latency.
@@ -60,6 +59,11 @@
 //! backends — the quotient backends must strictly beat exact identity on
 //! the variant world (deterministic, gated on every run).
 //!
+//! Schema 8 drops the per-world `after_par4_ms` column: detection no
+//! longer has a parallel path of its own. Parallelism lives in the
+//! discovery loop's pair pass, which covers detection and refinement;
+//! `sharded_analysis` reports the parallel numbers.
+//!
 //! Set `SAILING_BENCH_SMOKE=1` for a seconds-scale smoke run (used by CI
 //! to keep this target from rotting); the JSON is then suffixed
 //! `.smoke.json` so a smoke run never overwrites a real trajectory point.
@@ -71,6 +75,7 @@ use std::time::Instant;
 use serde::Serialize;
 
 use sailing::engine::SailingEngine;
+use sailing::persist::StoreOptions;
 use sailing_bench::{banner, header, row};
 use sailing_core::copy::posterior;
 use sailing_core::pairs::{all_pairs_count, candidate_pairs, detect_all_with_pairs};
@@ -233,8 +238,6 @@ struct WorldPoint {
     before_seq_ms: f64,
     /// Columnar detection over the pruned pairs, 1 thread.
     after_seq_ms: f64,
-    /// Columnar detection over the pruned pairs, 4 threads.
-    after_par4_ms: f64,
     /// Columnar detection with pruning disabled (`min_overlap = 1`).
     after_unpruned_seq_ms: f64,
     /// `before_seq_ms / after_seq_ms`.
@@ -422,9 +425,9 @@ struct BenchReport {
     schema: u32,
     smoke: bool,
     world: &'static str,
-    /// Cores visible to the run — a 1-core box makes `after_par4_ms` pure
-    /// thread overhead, so compare parallel numbers only across equal
-    /// `host_cpus`.
+    /// Cores visible to the run — a 1-core box makes the multi-worker
+    /// `sharded_analysis` timings pure thread overhead, so compare
+    /// parallel numbers only across equal `host_cpus`.
     host_cpus: usize,
     worlds: Vec<WorldPoint>,
     timeline_warm_vs_cold: Vec<TimelinePoint>,
@@ -458,7 +461,6 @@ fn main() {
         "prune x",
         "before 1t",
         "after 1t",
-        "after 4t",
         "speedup",
     ]);
 
@@ -479,12 +481,6 @@ fn main() {
 
         let (after_seq, t_after_seq) =
             time_ms(|| detect_all_with_pairs(&world.snapshot, &pruned, &probs, &accs, &params));
-        let par_params = DetectionParams {
-            threads: 4,
-            ..params.clone()
-        };
-        let (after_par, t_after_par) =
-            time_ms(|| detect_all_with_pairs(&world.snapshot, &pruned, &probs, &accs, &par_params));
         let loose_params = DetectionParams {
             min_overlap: 1,
             ..params.clone()
@@ -496,7 +492,6 @@ fn main() {
         // The baseline must agree with the live path, or the comparison is
         // meaningless.
         assert_eq!(before.len(), after_seq.len());
-        assert_eq!(after_seq.len(), after_par.len());
         for (x, y) in before.iter().zip(&after_seq) {
             assert_eq!((x.a, x.b), (y.a, y.b));
             assert!(
@@ -517,7 +512,6 @@ fn main() {
                 format!("{:.1}", all as f64 / pruned.len().max(1) as f64),
                 format!("{t_before:.1}ms"),
                 format!("{t_after_seq:.1}ms"),
-                format!("{t_after_par:.1}ms"),
                 format!("{speedup:.1}x"),
             ])
         );
@@ -531,7 +525,6 @@ fn main() {
             candidate_enumeration_ms: t_enum,
             before_seq_ms: t_before,
             after_seq_ms: t_after_seq,
-            after_par4_ms: t_after_par,
             after_unpruned_seq_ms: t_after_unpruned,
             speedup_seq: speedup,
         });
@@ -837,8 +830,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&async_dir);
     let async_engine = SailingEngine::builder()
         .persist_dir(&async_dir)
-        .persist_async(true)
-        .persist_queue_depth(awb_snapshots * 2)
+        .persist_options(StoreOptions::async_writer(awb_snapshots * 2))
         .build()
         .unwrap();
     let ((), t_async) = time_ms(|| analyze_all(&async_engine));
@@ -1246,7 +1238,7 @@ fn main() {
 
     let report = BenchReport {
         experiment: "exp_scalability",
-        schema: 7,
+        schema: 8,
         smoke,
         world: "specialist",
         host_cpus,
@@ -1270,7 +1262,6 @@ fn main() {
     std::fs::write(&path, serde_json::to_string(&report).unwrap()).expect("write bench report");
     println!("\nwrote {}", path.display());
     println!("\nPaper expectation (shape): candidate pruning keeps the tested pair");
-    println!("count far below O(S²) under realistic coverage skew, pairwise");
-    println!("detection parallelises nearly linearly, and the columnar layout");
-    println!("beats the hash layout by well over 2x sequentially.");
+    println!("count far below O(S²) under realistic coverage skew, and the");
+    println!("columnar layout beats the hash layout by well over 2x sequentially.");
 }

@@ -265,8 +265,9 @@ pub fn detect_pair(
     (lik.overlap >= params.min_overlap).then(|| posterior(a, b, &lik, params))
 }
 
-/// [`detect_pair`] with the effective-`n` column hoisted out — the form the
-/// batched [`crate::pairs::detect_all_with_pairs`] fan-out uses.
+/// [`detect_pair`] with the effective-`n` column hoisted out — the form
+/// [`crate::pairs::detect_all_with_pairs`] and the discovery loop's pair
+/// ranges use.
 pub fn detect_pair_with(
     snapshot: &SnapshotView,
     a: SourceId,

@@ -6,8 +6,9 @@
 //! pairs that co-cover at least `min_overlap` objects can ever be flagged
 //! (the paper's Example 4.1 screens AbeBooks bookstore pairs by "at least
 //! the same 10 books"). [`candidate_pairs`] enumerates exactly those pairs
-//! from a per-object inverted index; [`detect_all`] fans the surviving pairs
-//! out across worker threads.
+//! from a per-object inverted index; [`detect_all`] tests the surviving
+//! pairs. Parallelism lives one level up, in the discovery loop's pair pass
+//! ([`crate::shard`]), which splits this list into contiguous ranges.
 
 use std::collections::HashMap;
 
@@ -51,11 +52,9 @@ pub fn all_pairs_count(num_sources: usize) -> usize {
     num_sources * num_sources.saturating_sub(1) / 2
 }
 
-/// Runs snapshot copy detection over every candidate pair, optionally in
-/// parallel ([`DetectionParams::threads`]).
+/// Runs snapshot copy detection over every candidate pair.
 ///
-/// The output is sorted by `(a, b)` and therefore deterministic regardless
-/// of thread count.
+/// The output is sorted by `(a, b)`.
 pub fn detect_all(
     snapshot: &SnapshotView,
     probs: &ValueProbabilities,
@@ -68,18 +67,11 @@ pub fn detect_all(
 
 /// [`detect_all`] over an already-enumerated candidate-pair list.
 ///
-/// The pair list is snapshot-invariant, so iterative callers (the
-/// [`crate::AccuCopy`] loop) enumerate it **once per snapshot** and thread
-/// it through every iteration instead of rebuilding the inverted-index
-/// counts each round. The per-object effective-`n` column is hoisted here,
-/// once per call, and shared by every worker.
-///
-/// The parallel fan-out assigns pairs to workers by **overlap-weighted
-/// balanced chunks** (longest-processing-time greedy): per-pair cost is
-/// proportional to its overlap, and overlap counts are heavily skewed, so
-/// equal-length contiguous chunks let one fat chunk serialize the scope.
-/// The output is sorted by `(a, b)` and therefore deterministic regardless
-/// of thread count or chunk shape.
+/// The pair list is snapshot-invariant, so iterative callers enumerate it
+/// **once per snapshot** and thread it through every iteration instead of
+/// rebuilding the inverted-index counts each round. The per-object
+/// effective-`n` column is hoisted here, once per call. The output is
+/// sorted by `(a, b)` whatever order the pairs come in.
 pub fn detect_all_with_pairs(
     snapshot: &SnapshotView,
     pairs: &[(SourceId, SourceId, usize)],
@@ -88,75 +80,28 @@ pub fn detect_all_with_pairs(
     params: &DetectionParams,
 ) -> Vec<PairDependence> {
     let n_false = crate::truth::effective_n_false_table(snapshot, params);
-    let threads = params.threads.max(1);
-    if threads == 1 || pairs.len() < 2 * threads {
-        let mut out: Vec<PairDependence> = pairs
-            .iter()
-            .filter_map(|&(a, b, _)| {
-                copy::detect_pair_with(snapshot, a, b, probs, accuracies, &n_false, params)
-            })
-            .collect();
-        // The caller may hand pairs in any order (e.g. a shard's LPT
-        // ordering); sorted output must not depend on the thread count.
-        out.sort_by_key(|p| (p.a, p.b));
-        return out;
-    }
-
-    let chunks = balanced_chunks(pairs, threads);
-    let n_false = &n_false;
-    let mut results: Vec<Vec<PairDependence>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .filter_map(|&(a, b, _)| {
-                            copy::detect_pair_with(
-                                snapshot, a, b, probs, accuracies, n_false, params,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("detection worker panicked"));
-        }
-    });
-    let mut out: Vec<PairDependence> = results.into_iter().flatten().collect();
+    let mut out = detect_pairs(snapshot, pairs, probs, accuracies, &n_false, params);
     out.sort_by_key(|p| (p.a, p.b));
     out
 }
 
-/// Splits pairs into at most `threads` buckets with near-equal total
-/// overlap weight: pairs are taken heaviest-first and each goes to the
-/// currently lightest bucket (the classic LPT greedy, within 4/3 of
-/// optimal). Deterministic for a given input.
-fn balanced_chunks(
+/// Detection over `pairs` in the given order with a precomputed
+/// effective-`n` column — the discovery loop's per-range kernel, which
+/// hoists the column once per analysis.
+pub(crate) fn detect_pairs(
+    snapshot: &SnapshotView,
     pairs: &[(SourceId, SourceId, usize)],
-    threads: usize,
-) -> Vec<Vec<(SourceId, SourceId, usize)>> {
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    // Heaviest first; index tiebreak keeps the assignment deterministic.
-    order.sort_by_key(|&i| (std::cmp::Reverse(pairs[i].2), i));
-    let mut buckets: Vec<Vec<(SourceId, SourceId, usize)>> = vec![Vec::new(); threads];
-    let mut loads = vec![0usize; threads];
-    for i in order {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(b, &load)| (load, b))
-            .map(|(b, _)| b)
-            .expect("at least one bucket");
-        // Every pair costs at least the detection setup, so weight 0 still
-        // counts as 1 toward the balance.
-        loads[lightest] += pairs[i].2.max(1);
-        buckets[lightest].push(pairs[i]);
-    }
-    buckets.retain(|b| !b.is_empty());
-    buckets
+    probs: &ValueProbabilities,
+    accuracies: &[f64],
+    n_false: &[f64],
+    params: &DetectionParams,
+) -> Vec<PairDependence> {
+    pairs
+        .iter()
+        .filter_map(|&(a, b, _)| {
+            copy::detect_pair_with(snapshot, a, b, probs, accuracies, n_false, params)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -263,68 +208,6 @@ mod tests {
             assert_eq!((x.a, x.b), (y.a, y.b));
             assert_eq!(x.probability, y.probability);
             assert_eq!(x.prob_a_on_b, y.prob_a_on_b);
-        }
-    }
-
-    #[test]
-    fn balanced_chunks_cover_all_pairs_with_bounded_skew() {
-        // Heavily skewed weights: one fat pair plus many light ones.
-        let mut pairs: Vec<(SourceId, SourceId, usize)> =
-            (1..=20u32).map(|i| (SourceId(0), SourceId(i), 2)).collect();
-        pairs.push((SourceId(21), SourceId(22), 40));
-        let chunks = balanced_chunks(&pairs, 4);
-        assert!(chunks.len() <= 4);
-        let total: usize = chunks.iter().map(Vec::len).sum();
-        assert_eq!(total, pairs.len(), "every pair assigned exactly once");
-        let mut seen: Vec<_> = chunks.iter().flatten().copied().collect();
-        seen.sort();
-        let mut expected = pairs.clone();
-        expected.sort();
-        assert_eq!(seen, expected);
-        // The fat pair must sit alone-ish: no bucket may hold more than the
-        // fat weight plus one light pair's worth beyond the mean.
-        let loads: Vec<usize> = chunks
-            .iter()
-            .map(|c| c.iter().map(|&(_, _, w)| w.max(1)).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap();
-        assert!(
-            max <= 40 + 2,
-            "LPT must not stack light pairs onto the fat bucket: {loads:?}"
-        );
-    }
-
-    #[test]
-    fn skewed_world_parallel_matches_sequential() {
-        // A world where one source pair overlaps on everything and the rest
-        // barely overlap — the chunking's worst case pre-balancing.
-        let mut b = sailing_model::ClaimStoreBuilder::new();
-        for i in 0..30 {
-            let o = format!("o{i}");
-            b.add("big1", &o, "v").add("big2", &o, "v");
-            if i < 3 {
-                b.add("small1", &o, "v").add("small2", &o, "w");
-            }
-        }
-        let store = b.build();
-        let snap = store.snapshot();
-        let params = DetectionParams::default();
-        let accs = vec![params.initial_accuracy; snap.num_sources()];
-        let probs = crate::truth::naive_probabilities(&snap);
-        let seq = detect_all(&snap, &probs, &accs, &params);
-        let par = detect_all(
-            &snap,
-            &probs,
-            &accs,
-            &DetectionParams {
-                threads: 3,
-                ..params
-            },
-        );
-        assert_eq!(seq.len(), par.len());
-        for (x, y) in seq.iter().zip(&par) {
-            assert_eq!((x.a, x.b), (y.a, y.b));
-            assert_eq!(x.probability, y.probability);
         }
     }
 }

@@ -47,7 +47,10 @@ pub struct DetectionParams {
     /// When `false`, the pipeline runs accuracy-weighted voting only
     /// (the ACCU baseline) without discounting copied votes.
     pub enable_copy_detection: bool,
-    /// Number of worker threads for pairwise detection (1 = sequential).
+    /// Number of contiguous pair ranges each discovery iteration runs on
+    /// scoped threads, covering detection and refinement (1 = one range
+    /// on the calling thread). Results are bitwise identical for every
+    /// count.
     pub threads: usize,
 }
 

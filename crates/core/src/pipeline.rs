@@ -9,18 +9,16 @@
 //! experiments).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use sailing_model::{fx_mix, Delta, ObjectId, SailingError, SnapshotView, SourceId, ValueId};
 
-use crate::accuracy::{estimate_accuracies, max_delta};
-use crate::pairs::{candidate_pairs, detect_all_with_pairs};
 use crate::params::DetectionParams;
 use crate::partial;
 use crate::report::{Direction, PairDependence, SourceReport};
-use crate::truth::{naive_probabilities, weighted_vote, DependenceMatrix, ValueProbabilities};
+use crate::truth::{DependenceMatrix, ValueProbabilities};
 
 /// Dependence-aware truth discovery, run as a converging iteration.
 #[derive(Debug, Clone)]
@@ -313,16 +311,16 @@ impl AccuCopy {
 
     /// Runs the loop to convergence on `snapshot`.
     ///
-    /// Each iteration: (1) vote with the current accuracies and dependence
-    /// matrix; (2) re-detect dependence from the fresh value probabilities;
-    /// (3) re-vote with the fresh dependences so copied votes are damped
-    /// *before* accuracies are re-estimated — otherwise a copier cluster
-    /// inflates its own accuracy in the first round and the iteration can
-    /// lock onto the copied values; (4) re-estimate accuracies and test
-    /// convergence.
+    /// Each iteration: (1) detect dependence from the current value
+    /// probabilities; (2) vote with the current accuracies and the fresh
+    /// dependences, so copied votes are damped *before* accuracies are
+    /// re-estimated — otherwise a copier cluster inflates its own accuracy
+    /// in the first round and the iteration can lock onto the copied
+    /// values; (3) re-estimate accuracies and test convergence; (4) unless
+    /// converged, re-vote with the fresh accuracies.
     ///
     /// The candidate-pair list is snapshot-invariant, so it is enumerated
-    /// once here and threaded through every iteration's detection pass.
+    /// once per run and shared by every iteration's detection pass.
     pub fn run(&self, snapshot: &SnapshotView) -> PipelineResult {
         self.run_warm(snapshot, None)
     }
@@ -340,86 +338,21 @@ impl AccuCopy {
     /// unchanged — the `sailing` facade's timeline tests pin warm-vs-cold
     /// posterior parity. Priors that never converged (or estimate no
     /// accuracies at all) are ignored rather than trusted.
+    ///
+    /// This is the discovery loop ([`AccuCopy::run_with_pair_pass`]) with
+    /// the in-process pair pass: `shard_ranges(pairs, params.threads)` on
+    /// scoped threads ([`crate::shard::PairPass::run_ranges`]), one range
+    /// inline when `threads == 1`. The result does not depend on the
+    /// thread count, bit for bit.
     pub fn run_warm(
         &self,
         snapshot: &SnapshotView,
         prior: Option<&PipelineResult>,
     ) -> PipelineResult {
-        let p = &self.params;
-        let mut accuracies = seed_accuracies(p, snapshot, prior);
-        let mut dependences: Vec<PairDependence> = Vec::new();
-        let mut matrix = DependenceMatrix::new();
-        let candidates = if p.enable_copy_detection {
-            candidate_pairs(snapshot, p.min_overlap)
-        } else {
-            Vec::new()
-        };
-        // Bootstrap with naive vote shares even when warm (see
-        // `truth::naive_probabilities`): the bootstrap beliefs feed the
-        // *first* dependence-detection pass, and seeding it with saturated
-        // posteriors — the prior's, or any weighted vote's — hides the
-        // shared-false-value mass copy detection needs, steering the loop
-        // into the copier-locked fixpoint. Warmth lives in the accuracy
-        // seed alone, which is what the convergence criterion measures.
-        let mut probabilities = naive_probabilities(snapshot);
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut termination = Termination::IterationCap;
-        let started = Instant::now();
-        // Digests of each iteration's end state, in order — empty (and
-        // cost-free) unless limit-cycle detection is armed.
-        let mut seen_states: Vec<u64> = Vec::new();
-
-        while iterations < p.max_iterations {
-            iterations += 1;
-            if p.enable_copy_detection {
-                dependences =
-                    detect_all_with_pairs(snapshot, &candidates, &probabilities, &accuracies, p);
-                refine_directions(snapshot, &probabilities, &mut dependences);
-                matrix = DependenceMatrix::from_pairs(&dependences);
-            }
-            probabilities = weighted_vote(snapshot, &accuracies, &matrix, p);
-            let new_accuracies = estimate_accuracies(snapshot, &probabilities, p);
-            let delta = max_delta(&accuracies, &new_accuracies);
-            accuracies = new_accuracies;
-            if delta < p.convergence_epsilon {
-                converged = true;
-                termination = Termination::Converged;
-                break;
-            }
-            probabilities = weighted_vote(snapshot, &accuracies, &matrix, p);
-            // Watchdog checks run between iterations, so one iteration
-            // always completes and a converged run is never interrupted.
-            if self.watchdog.detect_limit_cycles {
-                let digest = state_digest(&accuracies, &probabilities);
-                if let Some(seen_at) = seen_states.iter().position(|&d| d == digest) {
-                    // The full iteration state (accuracies + posteriors,
-                    // from which the next dependence pass derives
-                    // deterministically) recurred exactly: the loop is in
-                    // a cycle and will never converge. End it now.
-                    termination = Termination::LimitCycle {
-                        period: seen_states.len() - seen_at,
-                    };
-                    break;
-                }
-                seen_states.push(digest);
-            }
-            if let Some(deadline) = self.watchdog.deadline {
-                if started.elapsed() >= deadline {
-                    termination = Termination::DeadlineExceeded;
-                    break;
-                }
-            }
-        }
-
-        PipelineResult {
-            probabilities,
-            accuracies,
-            dependences,
-            iterations,
-            converged,
-            termination,
-        }
+        self.run_with_pair_pass(snapshot, prior, self.params.threads, |pass| {
+            pass.run_ranges(pass.ranges())
+        })
+        .expect("an in-process pair pass always tiles the candidate list")
     }
 }
 
@@ -713,9 +646,8 @@ pub(crate) fn state_digest(accuracies: &[f64], probabilities: &ValueProbabilitie
     h
 }
 
-/// The warm-start accuracy seed shared by [`AccuCopy::run_warm`] and the
-/// sharded coordinator bootstrap ([`crate::shard`]) — one definition so
-/// the gating rule cannot drift between the two paths.
+/// The warm-start accuracy seed of the loop's bootstrap
+/// ([`AccuCopy::bootstrap_sharded`]).
 ///
 /// A prior from an accuracy-blind strategy (empty accuracy vector)
 /// carries nothing to warm-start from, and a *non-converged* prior is a
@@ -769,6 +701,7 @@ pub(crate) fn refine_directions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::truth::naive_probabilities;
     use sailing_model::fixtures;
 
     #[test]

@@ -71,8 +71,9 @@
 //!   written to disk in a versioned, checksummed format
 //!   ([`sailing_persist`]), and a second *process* over the same
 //!   snapshots gets disk hits instead of cold discovery runs — damaged
-//!   or stale files degrade to cold misses, never errors. With
-//!   [`SailingEngineBuilder::persist_async`] the store writes on its own
+//!   or stale files degrade to cold misses, never errors. With an async
+//!   writer ([`SailingEngineBuilder::persist_options`] with
+//!   [`StoreOptions::async_writer`]) the store writes on its own
 //!   background thread, so the analysis path performs **zero filesystem
 //!   syscalls** ([`SailingEngine::flush_persist`] becomes a drain
 //!   barrier, deferred failures surface via
@@ -80,9 +81,9 @@
 //!   is safe to share across engines, processes, and machines —
 //!   compaction takes the directory's advisory lock and can never sweep
 //!   a just-written valid entry.
-//! * On multi-core machines [`SailingEngine::timeline_batched`] (or
-//!   [`TimelineSession::prefetch_cold`]) runs the timeline's cold epoch
-//!   analyses **in parallel** first — store-resident epochs are skipped,
+//! * On multi-core machines [`TimelineSession::prefetch_cold`], called
+//!   on a fresh [`SailingEngine::timeline`] session, runs the timeline's
+//!   cold epoch analyses **in parallel** first — store-resident epochs are skipped,
 //!   the rest fan out under [`std::thread::scope`] in LPT-balanced
 //!   chunks — and the walk then consumes the precomputed results,
 //!   preserving the converged-prior gating semantics exactly.
@@ -126,7 +127,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use sailing_core::shard::{iteration_digest, shard_ranges, PairRange, PartialDependence};
+use sailing_core::shard::{PairPass, PairRange, PartialDependence};
 use sailing_core::truth::{DependenceMatrix, ValueProbabilities};
 use sailing_core::{
     AccuCopy, DeltaOutcome, DeltaRun, DetectionParams, PairDependence, PipelineResult,
@@ -179,13 +180,8 @@ pub struct SailingEngineBuilder {
     temporal_params: TemporalParams,
     cache_capacity: usize,
     persist_dir: Option<PathBuf>,
-    persist_async: bool,
-    persist_queue_depth: usize,
-    persist_retry: Option<(u32, Duration)>,
-    persist_breaker: Option<(u32, Duration)>,
-    persist_shutdown_deadline: Option<Duration>,
+    persist_options: StoreOptions,
     persist_fs: Option<Arc<dyn StoreFs>>,
-    persist_shards: Option<usize>,
     watchdog: Option<Watchdog>,
     equivalence: Option<Arc<dyn ValueEquivalence>>,
 }
@@ -201,13 +197,8 @@ impl SailingEngineBuilder {
             temporal_params: TemporalParams::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             persist_dir: None,
-            persist_async: false,
-            persist_queue_depth: sailing_persist::DEFAULT_QUEUE_DEPTH,
-            persist_retry: None,
-            persist_breaker: None,
-            persist_shutdown_deadline: None,
+            persist_options: StoreOptions::default(),
             persist_fs: None,
-            persist_shards: None,
             watchdog: None,
             equivalence: None,
         }
@@ -229,9 +220,12 @@ impl SailingEngineBuilder {
         self
     }
 
-    /// Shorthand for setting the pairwise-detection worker thread count.
-    /// Applied on `build()`, so it composes with [`Self::params`] in
-    /// either call order.
+    /// Shorthand for [`DetectionParams::threads`]: each discovery
+    /// iteration splits the candidate pairs into this many contiguous pair
+    /// ranges on scoped threads, covering detection and refinement.
+    /// Results are bitwise identical for every count. Applied on
+    /// `build()`, so it composes with [`Self::params`] in either call
+    /// order.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -277,27 +271,31 @@ impl SailingEngineBuilder {
         self
     }
 
-    /// Moves the persistent store's writes to a **background writer
-    /// thread**: with this on, the analysis path performs **zero
-    /// filesystem syscalls** — `analyze`/`analyze_owned` enqueue the
-    /// freshly computed result onto a bounded in-memory queue and return,
-    /// and the store's writer thread drains it with the usual atomic
-    /// temp-file+rename discipline. [`SailingEngine::flush_persist`]
-    /// becomes a drain barrier; write failures that happen after the
-    /// analysis returned surface through
-    /// [`CacheStats::disk_write_errors`] and
-    /// [`SailingEngine::take_persist_write_errors`] instead of being
-    /// silently lost. No effect without
-    /// [`SailingEngineBuilder::persist_dir`].
+    /// Configures the persistent store ([`StoreOptions`]): the async
+    /// write-behind thread and its queue bound, write retry, the circuit
+    /// breaker, the shutdown drain deadline and the hash-sharded directory
+    /// layout. Defaults to [`StoreOptions::default`] (synchronous
+    /// write-behind, no retry, no breaker, flat layout). No effect
+    /// without [`SailingEngineBuilder::persist_dir`].
+    ///
+    /// With [`StoreOptions::async_writer`] the analysis path performs
+    /// **zero filesystem syscalls** — `analyze`/`analyze_owned` enqueue
+    /// the freshly computed result and return, and the store's writer
+    /// thread drains the queue. [`SailingEngine::flush_persist`] becomes a
+    /// drain barrier; write failures that happen after the analysis
+    /// returned surface through [`CacheStats::disk_write_errors`] and
+    /// [`SailingEngine::take_persist_write_errors`].
     ///
     /// ```
+    /// use std::time::Duration;
     /// use sailing::engine::SailingEngine;
     /// use sailing::model::fixtures;
+    /// use sailing::persist::StoreOptions;
     ///
-    /// let dir = std::env::temp_dir().join(format!("sailing-doc-pa-{}", std::process::id()));
+    /// let dir = std::env::temp_dir().join(format!("sailing-doc-po-{}", std::process::id()));
     /// let engine = SailingEngine::builder()
     ///     .persist_dir(&dir)
-    ///     .persist_async(true)
+    ///     .persist_options(StoreOptions::async_writer(64).retry(3, Duration::ZERO))
     ///     .build()?;
     /// let (store, _) = fixtures::table1();
     /// let analysis = engine.analyze(&store.snapshot()); // no fs write here
@@ -308,55 +306,8 @@ impl SailingEngineBuilder {
     /// # Ok::<(), sailing::error::SailingError>(())
     /// ```
     #[must_use]
-    pub fn persist_async(mut self, enabled: bool) -> Self {
-        self.persist_async = enabled;
-        self
-    }
-
-    /// Bounds the async write-behind queue (entries). When full, the
-    /// oldest unwritten entry is evicted — a future cold miss — rather
-    /// than blocking the analysis thread. Ignored unless
-    /// [`SailingEngineBuilder::persist_async`] is on; clamped to at
-    /// least 1. Defaults to [`sailing_persist::DEFAULT_QUEUE_DEPTH`].
-    #[must_use]
-    pub fn persist_queue_depth(mut self, depth: usize) -> Self {
-        self.persist_queue_depth = depth;
-        self
-    }
-
-    /// Lets the persistent store retry failed entry writes: up to
-    /// `max_attempts` tries per entry (clamped to at least 1) with bounded
-    /// exponential backoff starting at `base_delay`. A write that succeeds
-    /// on a retry is invisible to callers apart from
-    /// [`CacheStats::disk_retries`]. No effect without
-    /// [`SailingEngineBuilder::persist_dir`].
-    #[must_use]
-    pub fn persist_retry(mut self, max_attempts: u32, base_delay: Duration) -> Self {
-        self.persist_retry = Some((max_attempts, base_delay));
-        self
-    }
-
-    /// Arms the persistent store's **circuit breaker**: after `threshold`
-    /// consecutive exhausted-retry write failures the store stops touching
-    /// the filesystem and fast-fails new writes (counted in
-    /// [`CacheStats::disk_breaker_fast_fails`]) until `cooldown` has
-    /// elapsed, then lets a single probe write through to decide whether
-    /// to close again. `threshold = 0` (the default) disables the
-    /// breaker. Observable via [`CacheStats::disk_breaker`]. No effect
-    /// without [`SailingEngineBuilder::persist_dir`].
-    #[must_use]
-    pub fn persist_breaker(mut self, threshold: u32, cooldown: Duration) -> Self {
-        self.persist_breaker = Some((threshold, cooldown));
-        self
-    }
-
-    /// Bounds how long the last engine clone's drop waits for the async
-    /// writer to drain before detaching (default
-    /// [`sailing_persist::SHUTDOWN_DRAIN_DEADLINE`]). No effect without
-    /// [`SailingEngineBuilder::persist_async`].
-    #[must_use]
-    pub fn persist_shutdown_deadline(mut self, deadline: Duration) -> Self {
-        self.persist_shutdown_deadline = Some(deadline);
+    pub fn persist_options(mut self, options: StoreOptions) -> Self {
+        self.persist_options = options;
         self
     }
 
@@ -368,19 +319,6 @@ impl SailingEngineBuilder {
     #[must_use]
     pub fn persist_fs(mut self, fs: Arc<dyn StoreFs>) -> Self {
         self.persist_fs = Some(fs);
-        self
-    }
-
-    /// Spreads the persistent store's entries over `n` hash-prefix
-    /// subdirectories (see [`sailing_persist::StoreOptions::shards`]):
-    /// compaction locks per shard instead of the whole store, and large
-    /// stores avoid one enormous flat directory. Opening an existing
-    /// flat store with shards configured migrates it in place; `0` (the
-    /// default) keeps the flat layout. No effect without
-    /// [`SailingEngineBuilder::persist_dir`].
-    #[must_use]
-    pub fn persist_shards(mut self, n: usize) -> Self {
-        self.persist_shards = Some(n);
         self
     }
 
@@ -494,23 +432,7 @@ impl SailingEngineBuilder {
         self.temporal_params.validate()?;
         let persist = match self.persist_dir {
             Some(dir) => {
-                let mut options = StoreOptions {
-                    async_writer: self.persist_async,
-                    queue_depth: self.persist_queue_depth,
-                    ..StoreOptions::default()
-                };
-                if let Some((max_attempts, base_delay)) = self.persist_retry {
-                    options = options.retry(max_attempts, base_delay);
-                }
-                if let Some((threshold, cooldown)) = self.persist_breaker {
-                    options = options.breaker(threshold, cooldown);
-                }
-                if let Some(deadline) = self.persist_shutdown_deadline {
-                    options = options.shutdown_deadline(deadline);
-                }
-                if let Some(shards) = self.persist_shards {
-                    options = options.shards(shards);
-                }
+                let options = self.persist_options;
                 let store = match self.persist_fs {
                     Some(fs) => PersistentStore::open_with_fs(dir, options, fs)?,
                     None => PersistentStore::open_with(dir, options)?,
@@ -629,7 +551,7 @@ impl SailingEngine {
     /// Flushes the persistent store's buffered writes to disk; returns the
     /// number of entries written (`0` when no store is attached — results
     /// are also flushed automatically and when the last engine clone
-    /// drops). With [`SailingEngineBuilder::persist_async`] on, this is a
+    /// drops). With an async writer ([`StoreOptions::async_writer`]), this is a
     /// **drain barrier**: it returns once every result computed before
     /// the call has been written (or failed) by the store's background
     /// writer thread.
@@ -654,11 +576,12 @@ impl SailingEngine {
     ///
     /// ```
     /// use sailing::engine::SailingEngine;
+    /// use sailing::persist::StoreOptions;
     ///
     /// let dir = std::env::temp_dir().join(format!("sailing-doc-twe-{}", std::process::id()));
     /// let engine = SailingEngine::builder()
     ///     .persist_dir(&dir)
-    ///     .persist_async(true)
+    ///     .persist_options(StoreOptions::async_writer(64))
     ///     .build()?;
     /// // … analyses run, the writer thread persists them in the background …
     /// for err in engine.take_persist_write_errors() {
@@ -735,13 +658,13 @@ impl SailingEngine {
             .0
     }
 
-    /// Pair-sharded distributed analysis: fans the dependence-detection
-    /// pass of each discovery iteration over `workers` contiguous ranges
-    /// of the candidate-pair list (see [`sailing_core::shard`]) and folds
-    /// the partials back into a result **bitwise identical** to
-    /// [`SailingEngine::analyze`] on the same snapshot (without any
+    /// Pair-sharded distributed analysis: the discovery loop
+    /// ([`AccuCopy::run_with_pair_pass`]) with each iteration's pair pass
+    /// fanned over `workers` contiguous ranges of the candidate-pair list
+    /// (see [`sailing_core::shard`]). The result is **bitwise identical**
+    /// to [`SailingEngine::analyze`] on the same snapshot (without any
     /// configured watchdog, which the sharded path does not arm — the
-    /// coordinator's iteration cap is the only stop).
+    /// iteration cap is the only stop).
     ///
     /// Without a persistent store the fan-out runs on `workers` scoped
     /// threads in this process. With one attached
@@ -790,74 +713,50 @@ impl SailingEngine {
         // snapshot, and the partial blob/claim names carry the equivalence
         // provenance through the keyed hash — partials computed under
         // different backends can never be adopted across runs.
-        let (snapshot, quotient_digest) =
-            self.quotient_input(SnapshotInput::Owned(Arc::new(snapshot.clone())));
-        let snapshot = snapshot.into_arc();
-        let ranges = shard_ranges(pipeline.pair_count(&snapshot), workers.max(1));
-        let hash = quotient_keyed_hash(snapshot.content_hash(), quotient_digest);
-        let mut state = pipeline.bootstrap_sharded(&snapshot, None);
-        while state.iterations < self.params.max_iterations {
-            let iteration = state.iterations + 1;
-            let partials =
-                self.sharded_iteration(&pipeline, &snapshot, &ranges, &state, hash, iteration);
-            let step = pipeline.merge_partials(&snapshot, &state, &partials)?;
-            state = step.state;
-            if step.done {
-                break;
-            }
-        }
+        let (snapshot, quotient_digest) = self.quotient_input(SnapshotInput::Borrowed(snapshot));
+        let hash = quotient_keyed_hash(snapshot.view().content_hash(), quotient_digest);
+        let mut names: Vec<String> = Vec::new();
+        let state = pipeline.run_with_pair_pass(snapshot.view(), None, workers.max(1), |pass| {
+            self.sharded_pair_pass(pass, hash, &mut names)
+        })?;
         if let Some(store) = self.persist.as_deref() {
             // Best-effort sweep of the run's coordination files. A racing
             // straggler re-publishing after this sweep cleans up again
             // when it finishes; only a crashed process leaks its names,
             // and those are validated-or-out-waited by the next run.
-            for iteration in 1..=state.iterations {
-                for &range in &ranges {
-                    let name = shard_partial_name(hash, iteration, range);
-                    store.remove_blob(&name);
-                    store.remove_claim(&name);
-                }
+            for name in &names {
+                store.remove_blob(name);
+                store.remove_claim(name);
             }
         }
-        Ok(self.assemble_analysis(snapshot, None, Arc::new(state)))
+        Ok(self.assemble_analysis(snapshot.into_arc(), None, Arc::new(state)))
     }
 
-    /// One iteration's fan-out: claim what we can, compute claimed ranges
-    /// on scoped threads, publish them, adopt the rest from cooperating
-    /// processes (recomputing locally when a claimant never delivers).
-    fn sharded_iteration(
+    /// One iteration's pair pass for [`SailingEngine::analyze_sharded`]:
+    /// claim what we can, compute claimed ranges on scoped threads,
+    /// publish them, adopt the rest from cooperating processes
+    /// (recomputing locally when a claimant never delivers). Records the
+    /// iteration's coordination names in `names` for the final sweep.
+    fn sharded_pair_pass(
         &self,
-        pipeline: &AccuCopy,
-        snapshot: &SnapshotView,
-        ranges: &[PairRange],
-        state: &PipelineResult,
+        pass: &PairPass<'_>,
         hash: u64,
-        iteration: usize,
+        names: &mut Vec<String>,
     ) -> Vec<PartialDependence> {
+        let iteration = pass.iteration();
+        let name = |range: PairRange| shard_partial_name(hash, iteration, range);
         let store = self.persist.as_deref();
         let (mine, theirs): (Vec<PairRange>, Vec<PairRange>) = match store {
-            Some(store) => ranges
-                .iter()
-                .partition(|&&r| store.try_claim(&shard_partial_name(hash, iteration, r))),
-            None => (ranges.to_vec(), Vec::new()),
+            Some(store) => {
+                names.extend(pass.ranges().iter().map(|&r| name(r)));
+                pass.ranges()
+                    .iter()
+                    .partition(|&&r| store.try_claim(&name(r)))
+            }
+            None => (pass.ranges().to_vec(), Vec::new()),
         };
 
-        let mut partials: Vec<PartialDependence> = if mine.len() <= 1 {
-            mine.iter()
-                .map(|&r| pipeline.run_shard(snapshot, r, state))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = mine
-                    .iter()
-                    .map(|&r| scope.spawn(move || pipeline.run_shard(snapshot, r, state)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
-        };
+        let mut partials = pass.run_ranges(&mine);
         self.shard
             .runs
             .fetch_add(mine.len() as u64, Ordering::Relaxed);
@@ -868,24 +767,23 @@ impl SailingEngine {
         // Publishing is cooperative best-effort: a failed publish only
         // denies peers an adoption (they recompute), never this merge.
         for partial in &partials {
-            let name = shard_partial_name(hash, iteration, partial.range);
-            let _ = store.put_blob(&name, partial.to_canonical_json().as_bytes());
+            let _ = store.put_blob(&name(partial.range), partial.to_canonical_json().as_bytes());
         }
-        let digest = iteration_digest(state);
-        let total_pairs = ranges.last().map_or(0, |r| r.end);
         let deadline = Instant::now() + SHARD_ADOPT_DEADLINE;
         let mut waiting = theirs;
         while !waiting.is_empty() {
             waiting.retain(|&range| {
                 let adopted = store
-                    .get_blob(&shard_partial_name(hash, iteration, range))
+                    .get_blob(&name(range))
                     .and_then(|bytes| String::from_utf8(bytes).ok())
                     .and_then(|text| PartialDependence::from_json_str(&text).ok())
                     // A blob from a crashed earlier run (or a peer on a
                     // different epoch) fails the digest check and is
                     // recomputed rather than merged.
                     .filter(|p| {
-                        p.range == range && p.total_pairs == total_pairs && p.state_digest == digest
+                        p.range == range
+                            && p.total_pairs == pass.total_pairs()
+                            && p.state_digest == pass.state_digest()
                     });
                 match adopted {
                     Some(partial) => {
@@ -902,9 +800,8 @@ impl SailingEngine {
             std::thread::sleep(SHARD_ADOPT_POLL);
         }
         for &range in &waiting {
-            let partial = pipeline.run_shard(snapshot, range, state);
-            let name = shard_partial_name(hash, iteration, partial.range);
-            let _ = store.put_blob(&name, partial.to_canonical_json().as_bytes());
+            let partial = pass.run(range);
+            let _ = store.put_blob(&name(partial.range), partial.to_canonical_json().as_bytes());
             self.shard.runs.fetch_add(1, Ordering::Relaxed);
             partials.push(partial);
         }
@@ -913,29 +810,16 @@ impl SailingEngine {
 
     /// Opens a [`TimelineSession`] over a history: one warm-started epoch
     /// analysis per [change point](History::change_points), oldest first,
-    /// each fused with the update-trace dependence evidence.
+    /// each fused with the update-trace dependence evidence. Call
+    /// [`TimelineSession::prefetch_cold`] on the fresh session to batch its
+    /// cold epochs across threads first.
     pub fn timeline(&self, history: &History) -> TimelineSession {
         self.timeline_owned(Arc::new(history.clone()))
     }
 
     /// Owned variant of [`SailingEngine::timeline`].
     pub fn timeline_owned(&self, history: Arc<History>) -> TimelineSession {
-        self.timeline_owned_since(history, Timestamp::MIN)
-    }
-
-    /// Like [`SailingEngine::timeline`], but starting at the first change
-    /// point at or after `since` — the resume entry for callers that
-    /// already consumed the earlier epochs (a restarted walk, an ingest
-    /// loop catching up on a history's recent tail). The temporal
-    /// dependence evidence still covers the whole history: lazy-copier
-    /// lags span the cutoff.
-    pub fn timeline_since(&self, history: &History, since: Timestamp) -> TimelineSession {
-        self.timeline_owned_since(Arc::new(history.clone()), since)
-    }
-
-    /// Owned variant of [`SailingEngine::timeline_since`].
-    pub fn timeline_owned_since(&self, history: Arc<History>, since: Timestamp) -> TimelineSession {
-        let change_points: Vec<Timestamp> = history.change_points_since(since).collect();
+        let change_points: Vec<Timestamp> = history.change_points().collect();
         let temporal = Arc::new(sailing_core::temporal::detect_all(
             &history,
             &self.temporal_params,
@@ -950,22 +834,6 @@ impl SailingEngine {
             total_iterations: 0,
             batched: BTreeMap::new(),
         }
-    }
-
-    /// Opens a timeline session and immediately
-    /// [batches its cold epochs across `threads`
-    /// threads](TimelineSession::prefetch_cold) — the parallel alternative
-    /// to the sequential warm-start chain for multi-core boxes and
-    /// store-warmed re-runs.
-    pub fn timeline_batched(&self, history: &History, threads: usize) -> TimelineSession {
-        self.timeline_batched_owned(Arc::new(history.clone()), threads)
-    }
-
-    /// Owned variant of [`SailingEngine::timeline_batched`].
-    pub fn timeline_batched_owned(&self, history: Arc<History>, threads: usize) -> TimelineSession {
-        let mut session = self.timeline_owned(history);
-        session.prefetch_cold(threads);
-        session
     }
 
     /// Opens a streaming [`IngestSession`] over a fresh in-memory claim
@@ -1432,15 +1300,15 @@ pub struct CacheStats {
     /// [`SailingEngine::take_persist_write_errors`].
     pub disk_write_errors: u64,
     /// Entries evicted unwritten because the async write-behind queue
-    /// was full (see [`SailingEngineBuilder::persist_queue_depth`]).
+    /// was full (see [`StoreOptions::queue_depth`]).
     pub disk_dropped: u64,
     /// Store write re-attempts after a transient filesystem failure (see
-    /// [`SailingEngineBuilder::persist_retry`]); a successful retry keeps
+    /// [`StoreOptions::retry`]); a successful retry keeps
     /// [`CacheStats::disk_write_errors`] at zero.
     pub disk_retries: u64,
     /// Writes rejected without touching the filesystem because the
     /// store's circuit breaker was open (see
-    /// [`SailingEngineBuilder::persist_breaker`]).
+    /// [`StoreOptions::breaker`]).
     pub disk_breaker_fast_fails: u64,
     /// The store's circuit-breaker state at sampling time
     /// ([`BreakerState::Closed`] when no store or no breaker is
@@ -2589,6 +2457,7 @@ fn trivial_result() -> PipelineResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sailing_core::shard::shard_ranges;
     use sailing_core::{Accu, NaiveVote};
     use sailing_fusion::{fuse, FusionStrategy};
     use sailing_model::fixtures;
@@ -3049,7 +2918,8 @@ mod tests {
         assert!(session.next_epoch().is_none());
         assert_eq!(session.total_iterations(), 0);
         // Batched construction over nothing is equally a no-op.
-        let mut batched = engine.timeline_batched(&History::new(3, 2), 4);
+        let mut batched = engine.timeline(&History::new(3, 2));
+        assert_eq!(batched.prefetch_cold(4), 0);
         assert!(batched.next_epoch().is_none());
     }
 
@@ -3148,7 +3018,8 @@ mod tests {
             .unwrap();
 
         let sequential: Vec<_> = seq_engine.timeline(&history).collect();
-        let mut batched_session = par_engine.timeline_batched(&history, 4);
+        let mut batched_session = par_engine.timeline(&history);
+        batched_session.prefetch_cold(4);
         let batched: Vec<_> = batched_session.by_ref().collect();
 
         assert_eq!(sequential.len(), batched.len());
@@ -3206,7 +3077,9 @@ mod tests {
             .build()
             .unwrap();
         // A batched walk populates the cache with cold-keyed results…
-        let first: Vec<_> = engine.timeline_batched(&history, 2).collect();
+        let mut session = engine.timeline(&history);
+        session.prefetch_cold(2);
+        let first: Vec<_> = session.collect();
         assert!(first.iter().all(|e| !e.from_cache()));
         // …so a second batched walk prefetches zero and serves everything
         // as cache hits with no spend.
@@ -3372,19 +3245,40 @@ mod tests {
         let (store, truth) = fixtures::table1();
         let snap = store.snapshot();
         let engine = SailingEngine::with_defaults();
+        let threaded = SailingEngine::builder().threads(2).build().unwrap();
         let solo = engine.analyze(&snap);
-        for workers in [1, 3] {
-            let sharded = engine.analyze_sharded(&snap, workers).unwrap();
-            assert_eq!(sharded.decisions(), solo.decisions());
-            for (x, y) in sharded.accuracies().iter().zip(solo.accuracies()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "workers={workers}");
+        let mut runs = vec![("analyze, threads(2)".to_string(), threaded.analyze(&snap))];
+        for workers in [1, 2, 3] {
+            runs.push((
+                format!("analyze_sharded(_, {workers})"),
+                engine.analyze_sharded(&snap, workers).unwrap(),
+            ));
+            runs.push((
+                format!("analyze_sharded(_, {workers}), threads(2)"),
+                threaded.analyze_sharded(&snap, workers).unwrap(),
+            ));
+        }
+        for (label, run) in &runs {
+            assert_eq!(run.decisions(), solo.decisions(), "{label}");
+            for (x, y) in run.accuracies().iter().zip(solo.accuracies()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{label}");
             }
+            for o in solo.probabilities().objects() {
+                let got = run.probabilities().distribution(o);
+                let want = solo.probabilities().distribution(o);
+                assert_eq!(got.len(), want.len(), "{label}: width at {o:?}");
+                for (&(v, p), &(w, q)) in got.iter().zip(want) {
+                    assert_eq!((v, p.to_bits()), (w, q.to_bits()), "{label}: {o:?}");
+                }
+            }
+            assert_eq!(run.dependences(), solo.dependences(), "{label}");
             assert_eq!(
-                sharded.result().iterations,
+                run.result().iterations,
                 solo.result().iterations,
-                "the sharded coordinator replays the same iterations"
+                "{label}: the same iterations replay"
             );
-            assert_eq!(truth.decision_precision(&sharded.decisions()).unwrap(), 1.0);
+            assert_eq!(run.termination(), solo.termination(), "{label}");
+            assert_eq!(truth.decision_precision(&run.decisions()).unwrap(), 1.0);
         }
         let stats = engine.cache_stats();
         assert!(stats.shard_runs > 0, "local detection passes are counted");

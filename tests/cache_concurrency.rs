@@ -152,8 +152,7 @@ fn async_two_tier_counters_and_writer_thread_isolation() {
     let engine = SailingEngine::builder()
         .cache_capacity(16)
         .persist_dir(&dir)
-        .persist_async(true)
-        .persist_queue_depth(64)
+        .persist_options(sailing::persist::StoreOptions::async_writer(64))
         .build()
         .unwrap();
     hammer(&engine, &snaps, threads, rounds);

@@ -18,7 +18,9 @@ use sailing::core::{AccuCopy, PipelineResult, Termination, TruthDiscovery, Watch
 use sailing::datagen::{SnapshotWorld, WorldConfig};
 use sailing::engine::SailingEngine;
 use sailing::model::SnapshotView;
-use sailing::persist::{BreakerState, FaultPlan, FaultyFs, StoreFs, WriteFault};
+use sailing::persist::{
+    BreakerState, FaultPlan, FaultyFs, StoreFs, StoreOptions, WriteFault, DEFAULT_QUEUE_DEPTH,
+};
 use sailing_serve::{Health, ServeHandle};
 
 fn chaos_dir(tag: &str) -> PathBuf {
@@ -43,8 +45,7 @@ fn transient_write_failure_is_absorbed_by_retry() {
 
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_async(true)
-        .persist_retry(3, Duration::ZERO)
+        .persist_options(StoreOptions::async_writer(DEFAULT_QUEUE_DEPTH).retry(3, Duration::ZERO))
         .persist_fs(fs)
         .build()
         .unwrap();
@@ -88,8 +89,11 @@ fn breaker_cycles_open_half_open_closed_under_persistent_failure() {
 
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_retry(2, Duration::ZERO)
-        .persist_breaker(2, Duration::ZERO)
+        .persist_options(
+            StoreOptions::default()
+                .retry(2, Duration::ZERO)
+                .breaker(2, Duration::ZERO),
+        )
         .persist_fs(fs)
         .build()
         .unwrap();
@@ -165,13 +169,43 @@ fn watchdog_ends_a_genuinely_oscillating_run_as_a_limit_cycle() {
         other => panic!("expected a limit cycle, got {other:?}"),
     }
 
-    let plain = SailingEngine::builder().params(params).build().unwrap();
-    let plain = plain.analyze_owned(snap);
+    let plain = SailingEngine::builder()
+        .params(params.clone())
+        .build()
+        .unwrap();
+    let plain = plain.analyze_owned(Arc::clone(&snap));
     assert_eq!(plain.termination(), Termination::IterationCap);
+    let stopped_at = analysis.result_arc().iterations;
     assert!(
-        analysis.result_arc().iterations < plain.result_arc().iterations,
+        stopped_at < plain.result_arc().iterations,
         "the watchdog must stop the spin before the iteration cap"
     );
+
+    let watched_with = |threads: usize, max_iterations: usize| {
+        SailingEngine::builder()
+            .params(sailing::core::DetectionParams {
+                threads,
+                max_iterations,
+                ..params.clone()
+            })
+            .discovery_watchdog(Watchdog::off().limit_cycles())
+            .build()
+            .unwrap()
+            .analyze_owned(Arc::clone(&snap))
+    };
+    // Threaded pair passes see the same cycle at the same iteration.
+    let threaded = watched_with(2, params.max_iterations);
+    assert_eq!(threaded.termination(), analysis.termination());
+    assert_eq!(threaded.result_arc().iterations, stopped_at);
+    // The watchdog check runs after the capped iteration too: a cycle
+    // closing exactly at the cap is still reported as a cycle…
+    let capped = watched_with(1, stopped_at);
+    assert_eq!(capped.termination(), analysis.termination());
+    assert_eq!(capped.result_arc().iterations, stopped_at);
+    // …while one iteration less is an ordinary cap.
+    let short = watched_with(1, stopped_at - 1);
+    assert_eq!(short.termination(), Termination::IterationCap);
+    assert_eq!(short.result_arc().iterations, stopped_at - 1);
 }
 
 /// A discovery strategy that deterministically refuses to converge on
@@ -277,8 +311,11 @@ fn seeded_plan_end_to_end() {
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
         .cache_capacity(0)
-        .persist_retry(2, Duration::ZERO)
-        .persist_breaker(3, Duration::ZERO)
+        .persist_options(
+            StoreOptions::default()
+                .retry(2, Duration::ZERO)
+                .breaker(3, Duration::ZERO),
+        )
         .persist_fs(fs)
         .build()
         .unwrap();

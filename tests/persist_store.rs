@@ -128,7 +128,9 @@ fn second_engine_timeline_is_served_from_the_store() {
         .unwrap();
     // Batched walk so the store receives *cold-keyed* entries for every
     // epoch (the warm chain's entries are provenance-specific).
-    let first: Vec<_> = writer.timeline_batched(&history, 2).collect();
+    let mut session = writer.timeline(&history);
+    session.prefetch_cold(2);
+    let first: Vec<_> = session.collect();
     writer.flush_persist().unwrap();
     drop(writer);
 
@@ -137,7 +139,8 @@ fn second_engine_timeline_is_served_from_the_store() {
         .persist_dir(&dir)
         .build()
         .unwrap();
-    let mut session = reader.timeline_batched(&history, 2);
+    let mut session = reader.timeline(&history);
+    session.prefetch_cold(2);
     let second: Vec<_> = session.by_ref().collect();
     assert_eq!(first.len(), second.len());
     assert!(second.iter().all(|e| e.from_cache()));
@@ -274,7 +277,7 @@ fn compact_removes_damage_and_reports_counts() {
 // --- async write-behind ----------------------------------------------------
 
 /// The tentpole acceptance proof at the engine level: with
-/// `persist_async` on, the analysis path performs zero filesystem writes
+/// an async writer on, the analysis path performs zero filesystem writes
 /// on the calling thread — every entry write happens on the store's
 /// background writer thread — and `flush_persist` drains
 /// deterministically into a store a second engine can serve from.
@@ -283,8 +286,7 @@ fn async_persist_keeps_the_analysis_thread_syscall_free() {
     let dir = temp_dir("async-engine");
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_async(true)
-        .persist_queue_depth(64)
+        .persist_options(StoreOptions::async_writer(64))
         .build()
         .unwrap();
 

@@ -10,7 +10,7 @@ use rand::Rng as _;
 
 use sailing::core::dissim::{DissimParams, RatingView};
 use sailing::core::truth::{naive_probabilities, weighted_vote, DependenceMatrix};
-use sailing::core::{copy, AccuCopy, DetectionParams, Termination};
+use sailing::core::{copy, AccuCopy, DetectionParams, PipelineResult, Termination};
 use sailing::datagen::rng;
 use sailing::linkage::{jaro_winkler, levenshtein, normalize, normalized_eq, parse_author_list};
 use sailing::model::{
@@ -670,71 +670,76 @@ fn incremental_run_delta_matches_full_warm_rerun() {
     );
 }
 
-/// The pair-sharded coordinator (`run_sharded`, the reference driver for
-/// `SailingEngine::analyze_sharded`) must reproduce the monolithic loop
-/// **bitwise** — same iterations, same accuracies, same posteriors, same
-/// dependences (which subsumes the 1e-9 acceptance bound) — on random
-/// worlds, random shard counts, and warm-started runs.
+/// The discovery loop's pair pass must not change answers with its
+/// range tiling: `threads ∈ {1, 2, 3}` (the in-process pair pass over as
+/// many contiguous ranges) reproduce the one-range loop **bitwise** —
+/// same iterations, termination, accuracies, posteriors and dependences
+/// (which subsumes the 1e-9 acceptance bound) — on random worlds, cold
+/// and warm-started.
 #[test]
 fn sharded_analysis_matches_monolithic_on_random_worlds() {
-    let pipeline = AccuCopy::new(DetectionParams {
+    let params = DetectionParams {
         hard_damping_threshold: 1.0,
         convergence_epsilon: 1e-12,
         // The default 20-iteration cap never reaches a 1e-12 fixpoint;
         // the property should mostly compare genuinely converged runs.
         max_iterations: 400,
         ..DetectionParams::default()
-    })
-    .unwrap();
-    let mut checked = 0usize;
-    for case in 0..CASES {
-        let mut r = rng(16_000 + case);
-        let snapshot = random_snapshot(16_500 + case);
-        let workers = r.gen_range(1..7usize);
-        let monolithic = pipeline.run(&snapshot);
-        let sharded = pipeline.run_sharded(&snapshot, None, workers).unwrap();
-        assert_eq!(sharded.iterations, monolithic.iterations, "case {case}");
-        assert_eq!(sharded.converged, monolithic.converged, "case {case}");
-        for (i, (x, y)) in sharded
-            .accuracies
-            .iter()
-            .zip(&monolithic.accuracies)
-            .enumerate()
-        {
+    };
+    let pipeline = AccuCopy::new(params.clone()).unwrap();
+    let threaded: Vec<(usize, AccuCopy)> = [1, 2, 3]
+        .into_iter()
+        .map(|threads| {
+            let params = DetectionParams {
+                threads,
+                ..params.clone()
+            };
+            (threads, AccuCopy::new(params).unwrap())
+        })
+        .collect();
+    let assert_bitwise = |case: u64, label: &str, got: &PipelineResult, want: &PipelineResult| {
+        assert_eq!(got.iterations, want.iterations, "case {case} {label}");
+        assert_eq!(got.converged, want.converged, "case {case} {label}");
+        assert_eq!(got.termination, want.termination, "case {case} {label}");
+        for (i, (x, y)) in got.accuracies.iter().zip(&want.accuracies).enumerate() {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "case {case}: accuracy[{i}] {x} vs {y} (workers {workers})"
+                "case {case} {label}: accuracy[{i}] {x} vs {y}"
             );
         }
-        for o in monolithic.probabilities.objects() {
-            let got = sharded.probabilities.distribution(o);
-            let want = monolithic.probabilities.distribution(o);
-            assert_eq!(got.len(), want.len(), "case {case}: width at {o:?}");
-            for (&(v, p), &(w, q)) in got.iter().zip(want) {
-                assert_eq!(v, w, "case {case}: value order at {o:?}");
+        for o in want.probabilities.objects() {
+            let g = got.probabilities.distribution(o);
+            let w = want.probabilities.distribution(o);
+            assert_eq!(g.len(), w.len(), "case {case} {label}: width at {o:?}");
+            for (&(v, p), &(u, q)) in g.iter().zip(w) {
+                assert_eq!(v, u, "case {case} {label}: value order at {o:?}");
                 assert_eq!(
                     p.to_bits(),
                     q.to_bits(),
-                    "case {case}: posterior({o:?}, {v:?}) {p} vs {q}"
+                    "case {case} {label}: posterior({o:?}, {v:?}) {p} vs {q}"
                 );
             }
         }
-        assert_eq!(sharded.dependences, monolithic.dependences, "case {case}");
-
-        if monolithic.converged {
-            checked += 1;
-            // Warm-started sharded runs share run_warm's prior gate and
-            // its fixpoint.
-            let warm = pipeline.run_warm(&snapshot, Some(&monolithic));
-            let warm_sharded = pipeline
-                .run_sharded(&snapshot, Some(&monolithic), workers)
-                .unwrap();
-            assert_eq!(warm_sharded.iterations, warm.iterations, "case {case}");
-            for (x, y) in warm_sharded.accuracies.iter().zip(&warm.accuracies) {
-                assert_eq!(x.to_bits(), y.to_bits(), "case {case}: warm drifted");
+        assert_eq!(got.dependences, want.dependences, "case {case} {label}");
+    };
+    let mut checked = 0usize;
+    for case in 0..CASES {
+        let snapshot = random_snapshot(16_500 + case);
+        let monolithic = pipeline.run(&snapshot);
+        // Warm-started runs share the prior gate and the fixpoint.
+        let warm = monolithic
+            .converged
+            .then(|| pipeline.run_warm(&snapshot, Some(&monolithic)));
+        for (threads, sharded) in &threaded {
+            let label = format!("threads {threads}");
+            assert_bitwise(case, &label, &sharded.run(&snapshot), &monolithic);
+            if let Some(warm) = &warm {
+                let warm_sharded = sharded.run_warm(&snapshot, Some(&monolithic));
+                assert_bitwise(case, &format!("{label} warm"), &warm_sharded, warm);
             }
         }
+        checked += usize::from(warm.is_some());
     }
     assert!(
         checked >= CASES as usize / 4,

@@ -300,9 +300,9 @@ fn batched_timeline_rerun_accounting_matches_sequential_rerun() {
         .build()
         .unwrap();
 
-    let first: Vec<_> = engine
-        .timeline_batched_owned(Arc::clone(&history), 4)
-        .collect();
+    let mut session = engine.timeline_owned(Arc::clone(&history));
+    session.prefetch_cold(4);
+    let first: Vec<_> = session.collect();
     assert!(first.iter().all(|e| !e.from_cache()));
 
     let mut rerun = engine.timeline_owned(Arc::clone(&history));
